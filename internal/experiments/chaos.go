@@ -112,8 +112,9 @@ func Chaos(opts Options) (*ChaosResult, error) {
 		MaxInflight:  chaosMaxInflight,
 		// A short admission queue absorbs arrival bursts; anything beyond
 		// it sheds. Shedding is the behavior under test, so keep the queue
-		// well under one simulation's service time.
-		AdmissionWait: 25 * time.Millisecond,
+		// well under one request's service time, which one-pass ingest
+		// has cut to a few milliseconds.
+		AdmissionWait: 2 * time.Millisecond,
 		Middleware:    injector.Inner,
 	})
 	if err != nil {

@@ -1,14 +1,13 @@
 package hb
 
 import (
-	"bytes"
 	"testing"
 
 	"vppb/internal/trace"
 )
 
 // FuzzAnalyze drives the whole untrusted-input pipeline the analyzer sits
-// behind: decode a text log, repair it, analyze it, and render every
+// behind: decode a log, repair it, analyze it, and render every
 // report. The contract is the usual one — reject with an error, never
 // panic — and the renderers must cope with whatever shape the repair pass
 // lets through.
@@ -25,7 +24,7 @@ func FuzzAnalyze(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := trace.ReadText(bytes.NewReader(data))
+		l, err := trace.Decode(data)
 		if err != nil {
 			return
 		}

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"vppb/internal/gotrace"
-	"vppb/internal/recorder"
 	"vppb/internal/trace"
 )
 
@@ -82,7 +81,7 @@ func Decode(data []byte, format, program string) (*trace.Log, error) {
 	}
 	switch format {
 	case FormatVPPB:
-		return recorder.Read(bytes.NewReader(data))
+		return trace.Decode(data)
 	case FormatGoTrace:
 		return gotrace.Convert(data, gotrace.Options{Program: program})
 	}

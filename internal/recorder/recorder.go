@@ -13,9 +13,7 @@
 package recorder
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 
 	"vppb/internal/threadlib"
@@ -167,24 +165,11 @@ func WriteFile(path string, log *trace.Log) error {
 
 // ReadFile loads a log written by WriteFile, auto-detecting the format.
 func ReadFile(path string) (*trace.Log, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("recorder: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Read loads a log from a stream, auto-detecting text vs binary format.
-func Read(rd io.Reader) (*trace.Log, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("recorder: %w", err)
-	}
-	if len(data) >= 8 && string(data[:4]) == "VPPB" {
-		return trace.DecodeBinary(data)
-	}
-	return trace.ReadText(bytes.NewReader(data))
+	return trace.Decode(data)
 }
 
 func isBinaryPath(path string) bool {

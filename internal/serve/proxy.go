@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -103,9 +104,20 @@ func (s *Server) proxied(h func(http.ResponseWriter, *http.Request) int) func(ht
 			s.metrics.ProxyLoops().Add(1)
 			return h(w, r)
 		}
-		digest, raw, herr := s.requestDigest(w, r)
-		if herr != nil {
-			return writeError(w, herr)
+		// The digest the request is about: the explicit ?trace= reference,
+		// or that of the uploaded body. A body is read and hashed here,
+		// once; the local handler takes both from the request context. raw
+		// stays nil for ?trace= requests, so the forwarded request keeps
+		// the cheap digest-only form.
+		digest := r.URL.Query().Get("trace")
+		var raw []byte
+		if digest == "" {
+			u, herr := s.readUpload(w, r)
+			if herr != nil {
+				return writeError(w, herr)
+			}
+			r = r.WithContext(context.WithValue(r.Context(), uploadKey{}, u))
+			digest, raw = u.digest, u.raw
 		}
 		if digest == "" {
 			// No trace reference and no body: let the handler produce its
@@ -122,32 +134,37 @@ func (s *Server) proxied(h func(http.ResponseWriter, *http.Request) int) func(ht
 		}
 		s.metrics.ProxyDegraded().Add(1)
 		// The owner is down; serve locally under this node's own cache and
-		// budgets. The body was already consumed by requestDigest, which
-		// reset it to a replayable buffer, so the handler reads it afresh.
+		// budgets, from the body already in the request context.
 		return h(w, r)
 	}
 }
 
-// requestDigest determines the content address a request is about: the
-// explicit ?trace= reference, or the digest of the uploaded body. A body
-// is read (under the same size limit the ingestion path enforces) and
-// replaced with a replayable in-memory copy, so the local handler or a
-// degraded-mode fallback can still consume it. raw is nil for ?trace=
-// requests — the forwarded request stays the cheap digest-only form.
-func (s *Server) requestDigest(w http.ResponseWriter, r *http.Request) (string, []byte, *httpError) {
-	if digest := r.URL.Query().Get("trace"); digest != "" {
-		return digest, nil, nil
+// upload is a request body, read under the upload size limit, and its
+// digest ("" for an empty body).
+type upload struct {
+	raw    []byte
+	digest string
+}
+
+// uploadKey carries the upload the proxy layer already read to the local
+// handler, so a body is read and hashed once per request.
+type uploadKey struct{}
+
+// readUpload returns the request's upload: the one the proxy layer stored
+// in the request context, or else the body, read and hashed now.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (upload, *httpError) {
+	if u, ok := r.Context().Value(uploadKey{}).(upload); ok {
+		return u, nil
 	}
 	raw, herr := readBody(w, r, s.cfg.MaxBodyBytes)
 	if herr != nil {
-		return "", nil, herr
+		return upload{}, herr
 	}
-	r.Body = io.NopCloser(bytes.NewReader(raw))
-	r.ContentLength = int64(len(raw))
-	if len(raw) == 0 {
-		return "", nil, nil
+	u := upload{raw: raw}
+	if len(raw) > 0 {
+		u.digest = Digest(raw)
 	}
-	return Digest(raw), raw, nil
+	return u, nil
 }
 
 // forward relays the request to the digest's owner and streams the
@@ -206,10 +223,19 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, owner string, r
 }
 
 // readBody reads a request body under the upload size limit, mapping the
-// oversize and transport failures exactly like the ingestion path.
+// oversize and transport failures exactly like the ingestion path. A body
+// whose Content-Length is known and within the limit ends up in one buffer
+// of exactly that size (see readSized), instead of one grown by repeated
+// copying.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *httpError) {
 	body := http.MaxBytesReader(w, r.Body, limit)
-	raw, err := io.ReadAll(body)
+	var raw []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= limit {
+		raw, err = readSized(body, int(n))
+	} else {
+		raw, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -218,6 +244,38 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *htt
 		return nil, errf(http.StatusBadRequest, "reading request body: %v", err)
 	}
 	return raw, nil
+}
+
+// readChunk bounds how much of an announced length readSized allocates
+// before any of it has arrived. A client that announces a large body and
+// then stalls pins at most this much, not the whole announced size.
+const readChunk = 1 << 20
+
+// readSized is io.ReadAll for a reader announced to hold size bytes. It
+// fills a first chunk of at most readChunk bytes and, once that chunk is
+// full, moves to one buffer of the announced size. A shorter stream ends
+// early at EOF, like io.ReadAll, and a longer one (a request whose
+// ContentLength understates its body) has the rest appended.
+func readSized(r io.Reader, size int) ([]byte, error) {
+	b := make([]byte, min(size, readChunk))
+	n := 0
+	for n < size {
+		if n == len(b) {
+			full := make([]byte, size)
+			copy(full, b)
+			b = full
+		}
+		m, err := r.Read(b[n:])
+		n += m
+		if err == io.EOF {
+			return b[:n], nil
+		}
+		if err != nil {
+			return b[:n], err
+		}
+	}
+	rest, err := io.ReadAll(r)
+	return append(b, rest...), err
 }
 
 // Ring exposes the node's cluster view (nil when standalone) for tests

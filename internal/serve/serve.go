@@ -219,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 		// Fault-ins re-run the lenient ingestion pipeline: the store holds
 		// the original upload bytes, so the repair verdict (and therefore
 		// strict-mode rejection) is recomputed identically after a restart.
-		s.cache.AttachStore(store, func(raw []byte) (*Entry, error) {
-			e, herr := s.ingest(raw, false)
+		s.cache.AttachStore(store, func(digest string, raw []byte) (*Entry, error) {
+			e, herr := s.ingest(raw, digest, false)
 			if herr != nil {
 				return nil, herr
 			}
@@ -409,23 +409,22 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 		return e, true, nil
 	}
 
-	raw, herr := readBody(w, r, s.cfg.MaxBodyBytes)
+	u, herr := s.readUpload(w, r)
 	if herr != nil {
 		return nil, false, herr
 	}
-	if len(raw) == 0 {
+	if len(u.raw) == 0 {
 		return nil, false, errf(http.StatusBadRequest, "upload a recorded log in the request body or pass ?trace=<digest>")
 	}
 
-	digest := Digest(raw)
-	if e, ok := s.cache.Get(digest); ok {
+	if e, ok := s.cache.Get(u.digest); ok {
 		if strict && e.Repaired {
 			return nil, false, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true (would be repaired: %s)", e.RepairSummary)
 		}
 		return e, true, nil
 	}
 
-	e, herr := s.ingest(raw, strict)
+	e, herr := s.ingest(u.raw, u.digest, strict)
 	if herr != nil {
 		return nil, false, herr
 	}
@@ -433,18 +432,19 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 	// upload has survived the daemon. A failed durability write degrades
 	// to memory-only service for this entry — counted, never fatal.
 	if s.store != nil {
-		if err := s.store.Put(digest, raw); err != nil {
+		if err := s.store.Put(u.digest, u.raw); err != nil {
 			s.store.notePutError()
 		}
 	}
 	return s.cache.Add(e), false, nil
 }
 
-// ingest runs the upload pipeline on raw bytes: parse, validate,
-// auto-repair (unless strict), build the immutable profile. It is shared
-// by fresh uploads and durable-store fault-ins, so an entry rebuilt after
-// a restart gets the exact same repair verdict as the original upload.
-func (s *Server) ingest(raw []byte, strict bool) (*Entry, *httpError) {
+// ingest runs the upload pipeline on raw bytes whose digest the caller
+// computed: parse, build the immutable profile, and auto-repair (unless
+// strict) when the log fails validation. It is shared by fresh uploads and
+// durable-store fault-ins, so an entry rebuilt after a restart gets the
+// exact same repair verdict as the original upload.
+func (s *Server) ingest(raw []byte, digest string, strict bool) (*Entry, *httpError) {
 	// The format is sniffed from the bytes themselves: native vppb
 	// recordings and Go runtime execution traces are both accepted, and
 	// anything else is a 400 counted per format in the ingest-error metric.
@@ -460,8 +460,12 @@ func (s *Server) ingest(raw []byte, strict bool) (*Entry, *httpError) {
 		s.metrics.IngestError(format)
 		return nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
 	}
-	e := &Entry{Digest: Digest(raw), Size: len(raw)}
-	if verr := log.Validate(); verr != nil {
+	e := &Entry{Digest: digest, Size: len(raw)}
+	// BuildProfile validates first, so a clean log is validated once; only
+	// a validation failure takes the repair path.
+	prof, err := trace.BuildProfile(log)
+	var verr *trace.ValidationError
+	if errors.As(err, &verr) {
 		if strict {
 			return nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
 		}
@@ -472,8 +476,8 @@ func (s *Server) ingest(raw []byte, strict bool) (*Entry, *httpError) {
 		log = repaired
 		e.Repaired = true
 		e.RepairSummary = rep.Summary()
+		prof, err = trace.BuildProfile(log)
 	}
-	prof, err := trace.BuildProfile(log)
 	if err != nil {
 		return nil, errf(http.StatusUnprocessableEntity, "%v", err)
 	}
@@ -697,8 +701,11 @@ func (s *Server) predict(ctx context.Context, e *Entry, resolved, policy string,
 		s.onSimulate(ctx)
 	}
 	// Machine 0 is the uniprocessor baseline every speed-up divides by;
-	// the requested sizes follow in input order.
+	// the requested sizes follow in input order. The body reads only
+	// durations and event counts, which DiscardTimeline leaves
+	// byte-identical, so no timeline is built.
 	base, deadlineBudget := s.machineFor(ctx, policy)
+	base.DiscardTimeline = true
 	machines := make([]core.Machine, 0, len(sizes)+1)
 	machines = append(machines, base.Uniprocessor())
 	for _, cpus := range sizes {

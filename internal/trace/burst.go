@@ -172,32 +172,63 @@ func (p *Profile) ThreadIDs() []ThreadID {
 }
 
 // BuildProfile derives the per-thread behaviour profile from a
-// uni-processor recording. It fails if the recording was not taken on one
-// CPU with one LWP (the Recorder's restriction, paper section 6) or if the
-// log is structurally invalid.
+// uni-processor recording. It fails if the log is structurally invalid
+// (with Validate's *ValidationError) or if the recording was not taken on
+// one CPU with one LWP (the Recorder's restriction, paper section 6).
 func BuildProfile(l *Log) (*Profile, error) {
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
 	if l.Header.CPUs != 1 || l.Header.LWPs != 1 {
 		return nil, fmt.Errorf("trace: profile requires a 1-CPU/1-LWP recording, log has %d CPUs, %d LWPs",
 			l.Header.CPUs, l.Header.LWPs)
 	}
-	if err := l.Validate(); err != nil {
-		return nil, err
+
+	// Counting pass: give every thread that generated events a dense
+	// slot, in order of first appearance, and count its calls — one per
+	// Before event — so every thread's Calls is sized exactly, all of them
+	// cut from one backing array.
+	slotOf := make(map[ThreadID]int32)
+	slots := make([]int32, len(l.Events))
+	var ids []ThreadID
+	var counts []int
+	total := 0
+	for i := range l.Events {
+		ev := &l.Events[i]
+		s, ok := slotOf[ev.Thread]
+		if !ok {
+			s = int32(len(ids))
+			slotOf[ev.Thread] = s
+			ids = append(ids, ev.Thread)
+			counts = append(counts, 0)
+		}
+		slots[i] = s
+		if ev.Class == Before {
+			counts[s]++
+			total++
+		}
+	}
+	all := make([]CallRecord, total)
+	calls := make([][]CallRecord, len(ids))
+	for s, n := range counts {
+		calls[s], all = all[:n:n], all[n:]
 	}
 
 	// Attribute each global inter-event gap to the generator of the later
-	// event, minus the probe cost of that event. Along the same walk,
-	// track who is waiting on each condition variable so that broadcasts
-	// can record how many threads they released (the barrier fix input).
-	type attributed struct {
-		ev       Event
-		cpu      vtime.Duration
-		released int32
+	// event, minus the probe cost of that event. A Before event writes its
+	// thread's next record in place; a paired call stays pending, by
+	// index, until its After completes it. Along the same walk, track who
+	// is waiting on each condition variable so that broadcasts can record
+	// how many threads they released (the barrier fix input).
+	fill := make([]int, len(ids))
+	pending := make([]int, len(ids))
+	for s := range pending {
+		pending[s] = -1
 	}
-	perThread := make(map[ThreadID][]attributed)
 	condWaiters := make(map[ObjectID]map[ThreadID]bool)
-	waitingOn := make(map[ThreadID]ObjectID)
 	prev := l.Header.Start
-	for _, ev := range l.Events {
+	for i := range l.Events {
+		ev := &l.Events[i]
 		gap := ev.Time.Sub(prev) - l.Header.ProbeCost
 		if gap < 0 {
 			gap = 0
@@ -207,89 +238,81 @@ func BuildProfile(l *Log) (*Profile, error) {
 		if ev.Class == After && (ev.Call == CallIO || (ev.Call == CallCondTimedWait && !ev.OK)) {
 			gap = 0
 		}
-		a := attributed{ev: ev, cpu: gap}
-		switch {
-		case ev.Class == Before && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
-			if condWaiters[ev.Object] == nil {
-				condWaiters[ev.Object] = make(map[ThreadID]bool)
-			}
-			condWaiters[ev.Object][ev.Thread] = true
-			waitingOn[ev.Thread] = ev.Object
-		case ev.Class == After && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
-			delete(condWaiters[ev.Object], ev.Thread)
-			delete(waitingOn, ev.Thread)
-		case ev.Class == Before && ev.Call == CallCondBroadcast:
-			a.released = int32(len(condWaiters[ev.Object]))
-		}
-		perThread[ev.Thread] = append(perThread[ev.Thread], a)
 		prev = ev.Time
+		s := slots[i]
+		switch ev.Class {
+		case Before:
+			if pending[s] >= 0 {
+				// Validate rejects a Before while a call is open.
+				return nil, fmt.Errorf("trace: thread %d: overlapping calls at seq %d", ev.Thread, ev.Seq)
+			}
+			rec := &calls[s][fill[s]]
+			*rec = CallRecord{
+				CPUBefore:   gap,
+				Call:        ev.Call,
+				Object:      ev.Object,
+				MutexObject: ev.Mutex,
+				Target:      ev.Target,
+				OK:          ev.OK,
+				Timeout:     ev.Timeout,
+				Prio:        ev.Prio,
+				Loc:         ev.Loc,
+				Seq:         ev.Seq,
+			}
+			switch ev.Call {
+			case CallCondWait, CallCondTimedWait:
+				if condWaiters[ev.Object] == nil {
+					condWaiters[ev.Object] = make(map[ThreadID]bool)
+				}
+				condWaiters[ev.Object][ev.Thread] = true
+			case CallCondBroadcast:
+				rec.Released = int32(len(condWaiters[ev.Object]))
+			}
+			// Unpaired calls (thr_exit, collection markers) are complete
+			// as they stand.
+			if pairsWithAfter(ev.Call) && ev.Call != CallThrExit {
+				pending[s] = fill[s]
+			}
+			fill[s]++
+		case After:
+			if pending[s] < 0 {
+				return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", ev.Thread, ev.Seq)
+			}
+			rec := &calls[s][pending[s]]
+			pending[s] = -1
+			rec.CallCPU = gap
+			// Did anyone else run in between? Compare global sequence
+			// numbers: an intervening event from another thread means the
+			// call blocked.
+			rec.BlockedInLog = ev.Seq != rec.Seq+1
+			switch ev.Call {
+			case CallThrJoin:
+				rec.JoinedTarget = ev.Target
+			case CallCondTimedWait, CallMutexTryLock, CallSemaTryWait:
+				rec.OK = ev.OK
+			}
+			if ev.Call == CallCondWait || ev.Call == CallCondTimedWait {
+				delete(condWaiters[ev.Object], ev.Thread)
+			}
+		}
 	}
 
-	p := &Profile{Log: l, Threads: make(map[ThreadID]*ThreadProfile)}
-	for tid, evs := range perThread {
-		tp := &ThreadProfile{}
+	p := &Profile{Log: l, Threads: make(map[ThreadID]*ThreadProfile, len(ids))}
+	tps := make([]ThreadProfile, len(ids))
+	for s, tid := range ids {
+		if pending[s] >= 0 {
+			return nil, fmt.Errorf("trace: thread %d: call %v never completed", tid, calls[s][pending[s]].Call)
+		}
+		tp := &tps[s]
 		if info := l.Thread(tid); info != nil {
 			tp.Info = *info
 		} else {
 			tp.Info = ThreadInfo{ID: tid, BoundCPU: -1}
 		}
-		var pending *CallRecord
-		for i := 0; i < len(evs); i++ {
-			a := evs[i]
-			switch a.ev.Class {
-			case Before:
-				if pending != nil {
-					// Unpaired Before (thr_exit, collection markers):
-					// already flushed below, so a dangling record here is
-					// a bug in Validate.
-					return nil, fmt.Errorf("trace: thread %d: overlapping calls at seq %d", tid, a.ev.Seq)
-				}
-				rec := CallRecord{
-					CPUBefore:   a.cpu,
-					Call:        a.ev.Call,
-					Object:      a.ev.Object,
-					MutexObject: a.ev.Mutex,
-					Target:      a.ev.Target,
-					OK:          a.ev.OK,
-					Timeout:     a.ev.Timeout,
-					Prio:        a.ev.Prio,
-					Loc:         a.ev.Loc,
-					Released:    a.released,
-					Seq:         a.ev.Seq,
-				}
-				if pairsWithAfter(a.ev.Call) && a.ev.Call != CallThrExit {
-					pending = &rec
-				} else {
-					tp.Calls = append(tp.Calls, rec)
-				}
-			case After:
-				if pending == nil {
-					return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", tid, a.ev.Seq)
-				}
-				pending.CallCPU = a.cpu
-				// Did anyone else run in between? Compare global
-				// sequence numbers: an intervening event from another
-				// thread means the call blocked.
-				pending.BlockedInLog = a.ev.Seq != pending.Seq+1
-				if a.ev.Call == CallThrJoin {
-					pending.JoinedTarget = a.ev.Target
-				}
-				if a.ev.Call == CallCondTimedWait || a.ev.Call == CallMutexTryLock || a.ev.Call == CallSemaTryWait {
-					pending.OK = a.ev.OK
-				}
-				tp.Calls = append(tp.Calls, *pending)
-				pending = nil
-			}
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("trace: thread %d: call %v never completed", tid, pending.Call)
-		}
+		tp.Calls = calls[s]
 		p.Threads[tid] = tp
 	}
-	p.IDs = make([]ThreadID, 0, len(p.Threads))
-	for id := range p.Threads {
-		p.IDs = append(p.IDs, id)
-	}
+	p.IDs = ids
 	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
 	return p, nil
 }

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"vppb/internal/source"
 	"vppb/internal/vtime"
@@ -269,113 +271,235 @@ func b2i(b bool) int {
 	return 0
 }
 
-// ReadText parses a text-format log.
-func ReadText(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	l := &Log{}
+// Decode parses a vppb log in either encoding: bytes that open with the
+// binary magic's "VPPB" prefix (and are long enough to hold it) go to
+// DecodeBinary, everything else to the text decoder.
+func Decode(data []byte) (*Log, error) {
+	if len(data) >= len(binMagic) && string(data[:4]) == "VPPB" {
+		return DecodeBinary(data)
+	}
+	return decodeText(data)
+}
+
+// maxTextLine is the longest line the text format admits. A longer line
+// fails with bufio.ErrTooLong, as it did when the reader scanned lines
+// with a bufio.Scanner of this capacity.
+const maxTextLine = 1 << 26
+
+// minEventLine is the length of the shortest line the decoder accepts as
+// an event ("io" is the shortest call name). It caps the presize of
+// Events, so a hostile body full of "event" prefixes cannot make the
+// decoder allocate more than a few bytes of Event per byte of input.
+const minEventLine = len("event 0 0 T0 after io\n")
+
+// textDecoder is the text-format reader. It works on the input bytes in
+// place: lines and fields are subslices, numbers go to strconv through a
+// string(field) conversion that does not escape (so it stays on the stack
+// for fields up to 32 bytes), and every name is copied out of the input
+// once into a per-decode
+// intern table, so the decoded log neither allocates per line nor keeps
+// any part of the input alive.
+type textDecoder struct {
+	log   *Log
+	names map[string]string // raw (quoted) field -> unquoted, interned name
+}
+
+// decodeText parses a text-format log. Its results and error messages,
+// line numbers included, are those of reading the input line by line and
+// splitting each trimmed line with strings.Fields.
+func decodeText(data []byte) (*Log, error) {
+	d := textDecoder{log: &Log{}, names: make(map[string]string)}
+	// Every counted line is parsed as an event (or fails the decode), so
+	// a presized Events is never returned empty, and an event-less log
+	// keeps a nil Events, as appending would leave it.
+	if n := min(bytes.Count(data, []byte("\nevent ")), len(data)/minEventLine); n > 0 {
+		d.log.Events = make([]Event, 0, n)
+	}
 	lineNo := 0
 	sawMagic := false
-	for sc.Scan() {
+	for rest := data; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		if len(line) >= maxTextLine {
+			return nil, fmt.Errorf("trace: %w", bufio.ErrTooLong)
+		}
+		f := fields{line: line}
+		kind := f.next()
+		if len(kind) == 0 {
 			continue
 		}
 		if !sawMagic {
-			if line != textMagic {
+			if string(bytes.TrimSpace(line)) != textMagic {
 				return nil, fmt.Errorf("trace: line %d: not a vppb log (missing %q)", lineNo, textMagic)
 			}
 			sawMagic = true
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
+		if kind[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if err := parseTextLine(l, fields); err != nil {
+		if err := d.record(kind, &f); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if !sawMagic {
 		return nil, fmt.Errorf("trace: empty input")
 	}
-	return l, nil
+	return d.log, nil
 }
 
-func parseTextLine(l *Log, fields []string) error {
-	if len(fields) == 0 {
-		return nil
+// byteKind classifies a byte for the field splitter: part of a field,
+// an ASCII space (the ASCII part of unicode.IsSpace, which strings.Fields
+// and strings.TrimSpace split and trim on), or the first byte of a
+// multi-byte rune that must be decoded to tell.
+type byteKind uint8
+
+const (
+	fieldByte byteKind = iota
+	spaceByte
+	runeByte
+)
+
+var byteKinds = func() (k [256]byteKind) {
+	for _, c := range "\t\n\v\f\r " {
+		k[c] = spaceByte
 	}
-	switch fields[0] {
+	for c := utf8.RuneSelf; c < len(k); c++ {
+		k[c] = runeByte
+	}
+	return k
+}()
+
+// fields iterates the whitespace-separated fields of one line exactly as
+// strings.Fields splits them. A rune is decoded only at a byte >= 0x80;
+// invalid UTF-8 decodes as one non-space byte, as it does there.
+type fields struct {
+	line []byte
+	pos  int
+}
+
+// next returns the next field, or an empty slice at the end of the line.
+func (f *fields) next() []byte {
+	line, i := f.line, f.pos
+	for i < len(line) {
+		switch byteKinds[line[i]] {
+		case spaceByte:
+			i++
+			continue
+		case runeByte:
+			if r, n := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+				i += n
+				continue
+			}
+		}
+		break
+	}
+	start := i
+	for i < len(line) {
+		switch byteKinds[line[i]] {
+		case fieldByte:
+			i++
+			continue
+		case runeByte:
+			if r, n := utf8.DecodeRune(line[i:]); !unicode.IsSpace(r) {
+				i += n
+				continue
+			}
+		}
+		break
+	}
+	f.pos = i
+	return line[start:i]
+}
+
+// name unquotes a name field and interns the result: every repetition of
+// a name in the log shares one string, copied out of the input.
+func (d *textDecoder) name(raw []byte) string {
+	if s, ok := d.names[string(raw)]; ok {
+		return s
+	}
+	key := string(raw)
+	s := unquote(key)
+	d.names[key] = s
+	return s
+}
+
+// record parses one line whose first field is kind; f holds the rest.
+func (d *textDecoder) record(kind []byte, f *fields) error {
+	l := d.log
+	switch string(kind) {
 	case "program":
-		if len(fields) > 1 {
-			l.Header.Program = unquote(fields[1])
+		if v := f.next(); len(v) > 0 {
+			l.Header.Program = d.name(v)
 		}
 	case "cpus", "lwps", "probecost", "start", "end":
-		if len(fields) < 2 {
-			return fmt.Errorf("%s: missing value", fields[0])
+		v := f.next()
+		if len(v) == 0 {
+			return fmt.Errorf("%s: missing value", kind)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
+		n, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
-			return fmt.Errorf("%s: %w", fields[0], err)
+			return fmt.Errorf("%s: %w", kind, err)
 		}
-		switch fields[0] {
+		switch string(kind) {
 		case "cpus":
-			l.Header.CPUs = int(v)
+			l.Header.CPUs = int(n)
 		case "lwps":
-			l.Header.LWPs = int(v)
+			l.Header.LWPs = int(n)
 		case "probecost":
-			l.Header.ProbeCost = vtime.Duration(v)
+			l.Header.ProbeCost = vtime.Duration(n)
 		case "start":
-			l.Header.Start = vtime.Time(v)
+			l.Header.Start = vtime.Time(n)
 		case "end":
-			l.Header.End = vtime.Time(v)
+			l.Header.End = vtime.Time(n)
 		}
 	case "thread":
-		return parseThreadLine(l, fields)
+		return d.thread(f)
 	case "object":
-		return parseObjectLine(l, fields)
+		return d.object(f)
 	case "event":
-		return parseEventLine(l, fields)
+		return d.event(f)
 	default:
-		return fmt.Errorf("unknown record %q", fields[0])
+		return fmt.Errorf("unknown record %q", kind)
 	}
 	return nil
 }
 
-func parseThreadLine(l *Log, fields []string) error {
-	if len(fields) < 2 {
+func (d *textDecoder) thread(f *fields) error {
+	v := f.next()
+	if len(v) == 0 {
 		return fmt.Errorf("thread: missing id")
 	}
-	id, err := strconv.ParseInt(fields[1], 10, 32)
+	id, err := strconv.ParseInt(string(v), 10, 32)
 	if err != nil {
 		return fmt.Errorf("thread id: %w", err)
 	}
 	t := ThreadInfo{ID: ThreadID(id), BoundCPU: -1}
-	for _, f := range fields[2:] {
-		k, v, ok := strings.Cut(f, "=")
+	for fld := f.next(); len(fld) > 0; fld = f.next() {
+		k, v, ok := bytes.Cut(fld, []byte("="))
 		if !ok {
-			return fmt.Errorf("thread: malformed field %q", f)
+			return fmt.Errorf("thread: malformed field %q", fld)
 		}
-		switch k {
+		switch string(k) {
 		case "name":
-			t.Name = unquote(v)
+			t.Name = d.name(v)
 		case "func":
-			t.Func = unquote(v)
+			t.Func = d.name(v)
 		case "bound":
-			t.Bound = v == "1"
+			t.Bound = string(v) == "1"
 		case "boundcpu":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
 			t.BoundCPU = int32(n)
 		case "prio":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
@@ -384,27 +508,28 @@ func parseThreadLine(l *Log, fields []string) error {
 			return fmt.Errorf("thread: unknown field %q", k)
 		}
 	}
-	l.Threads = append(l.Threads, t)
+	d.log.Threads = append(d.log.Threads, t)
 	return nil
 }
 
-func parseObjectLine(l *Log, fields []string) error {
-	if len(fields) < 2 {
+func (d *textDecoder) object(f *fields) error {
+	v := f.next()
+	if len(v) == 0 {
 		return fmt.Errorf("object: missing id")
 	}
-	id, err := strconv.ParseInt(fields[1], 10, 32)
+	id, err := strconv.ParseInt(string(v), 10, 32)
 	if err != nil {
 		return fmt.Errorf("object id: %w", err)
 	}
 	o := ObjectInfo{ID: ObjectID(id)}
-	for _, f := range fields[2:] {
-		k, v, ok := strings.Cut(f, "=")
+	for fld := f.next(); len(fld) > 0; fld = f.next() {
+		k, v, ok := bytes.Cut(fld, []byte("="))
 		if !ok {
-			return fmt.Errorf("object: malformed field %q", f)
+			return fmt.Errorf("object: malformed field %q", fld)
 		}
-		switch k {
+		switch string(k) {
 		case "kind":
-			switch v {
+			switch string(v) {
 			case "mutex":
 				o.Kind = ObjMutex
 			case "sema":
@@ -419,9 +544,9 @@ func parseObjectLine(l *Log, fields []string) error {
 				return fmt.Errorf("object: unknown kind %q", v)
 			}
 		case "name":
-			o.Name = unquote(v)
+			o.Name = d.name(v)
 		case "count":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
@@ -433,108 +558,107 @@ func parseObjectLine(l *Log, fields []string) error {
 	if o.Kind == ObjNone {
 		return fmt.Errorf("object %d: missing kind", o.ID)
 	}
-	l.Objects = append(l.Objects, o)
+	d.log.Objects = append(d.log.Objects, o)
 	return nil
 }
 
-func parseEventLine(l *Log, fields []string) error {
-	if len(fields) < 6 {
-		return fmt.Errorf("event: want at least 6 fields, got %d", len(fields))
+func (d *textDecoder) event(f *fields) error {
+	// The five positional fields must all be present before any of them
+	// is parsed.
+	var pos [5][]byte
+	for i := range pos {
+		if pos[i] = f.next(); len(pos[i]) == 0 {
+			return fmt.Errorf("event: want at least 6 fields, got %d", i+1)
+		}
 	}
-	var ev Event
-	seq, err := strconv.ParseInt(fields[1], 10, 64)
+	l := d.log
+	l.Events = append(l.Events, Event{})
+	ev := &l.Events[len(l.Events)-1]
+	seq, err := strconv.ParseInt(string(pos[0]), 10, 64)
 	if err != nil {
 		return fmt.Errorf("event seq: %w", err)
 	}
 	ev.Seq = seq
-	ts, err := strconv.ParseInt(fields[2], 10, 64)
+	ts, err := strconv.ParseInt(string(pos[1]), 10, 64)
 	if err != nil {
 		return fmt.Errorf("event time: %w", err)
 	}
 	ev.Time = vtime.Time(ts)
-	if !strings.HasPrefix(fields[3], "T") {
-		return fmt.Errorf("event thread: %q", fields[3])
+	if pos[2][0] != 'T' {
+		return fmt.Errorf("event thread: %q", pos[2])
 	}
-	tid, err := strconv.ParseInt(fields[3][1:], 10, 32)
+	tid, err := strconv.ParseInt(string(pos[2][1:]), 10, 32)
 	if err != nil {
 		return fmt.Errorf("event thread: %w", err)
 	}
 	ev.Thread = ThreadID(tid)
-	switch fields[4] {
+	switch string(pos[3]) {
 	case "before":
 		ev.Class = Before
 	case "after":
 		ev.Class = After
 	default:
-		return fmt.Errorf("event class: %q", fields[4])
+		return fmt.Errorf("event class: %q", pos[3])
 	}
-	call, err := ParseCall(fields[5])
-	if err != nil {
+	call, ok := callByName(pos[4])
+	if !ok {
+		_, err := ParseCall(string(pos[4]))
 		return err
 	}
 	ev.Call = call
-	for _, f := range fields[6:] {
-		k, v, ok := strings.Cut(f, "=")
+	for fld := f.next(); len(fld) > 0; fld = f.next() {
+		k, v, ok := bytes.Cut(fld, []byte("="))
 		if !ok {
-			return fmt.Errorf("event: malformed field %q", f)
+			return fmt.Errorf("event: malformed field %q", fld)
 		}
-		switch k {
+		switch string(k) {
 		case "obj":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
 			ev.Object = ObjectID(n)
 		case "mutex":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
 			ev.Mutex = ObjectID(n)
 		case "target":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
 			ev.Target = ThreadID(n)
 		case "ok":
-			ev.OK = v == "1"
+			ev.OK = string(v) == "1"
 		case "timeout":
-			n, err := strconv.ParseInt(v, 10, 64)
+			n, err := strconv.ParseInt(string(v), 10, 64)
 			if err != nil {
 				return err
 			}
 			ev.Timeout = vtime.Duration(n)
 		case "prio":
-			n, err := strconv.ParseInt(v, 10, 32)
+			n, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return err
 			}
 			ev.Prio = int32(n)
 		case "loc":
-			file, lineStr, ok := cutLast(v, ":")
-			if !ok {
+			i := bytes.LastIndexByte(v, ':')
+			if i < 0 {
 				return fmt.Errorf("event loc: %q", v)
 			}
-			n, err := strconv.Atoi(lineStr)
+			n, err := strconv.Atoi(string(v[i+1:]))
 			if err != nil {
 				return err
 			}
-			ev.Loc = source.Loc{File: unquote(file), Line: n}
+			ev.Loc = source.Loc{File: d.name(v[:i]), Line: n}
 		default:
 			return fmt.Errorf("event: unknown field %q", k)
 		}
 	}
-	l.Events = append(l.Events, ev)
 	return nil
-}
-
-func cutLast(s, sep string) (before, after string, found bool) {
-	i := strings.LastIndex(s, sep)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+len(sep):], true
 }
 
 // FormatPaper renders the log the way the paper's figure 2 lists Recorder
@@ -643,6 +767,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nThreads > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d threads", nThreads)
 	}
+	l.Threads = presize[ThreadInfo](nThreads, len(d.buf)/minThreadBytes)
 	for i := uint64(0); i < nThreads && d.err == nil; i++ {
 		var t ThreadInfo
 		t.ID = ThreadID(d.sv())
@@ -657,6 +782,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nObjects > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d objects", nObjects)
 	}
+	l.Objects = presize[ObjectInfo](nObjects, len(d.buf)/minObjectBytes)
 	for i := uint64(0); i < nObjects && d.err == nil; i++ {
 		var o ObjectInfo
 		o.ID = ObjectID(d.sv())
@@ -669,6 +795,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nEvents > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d events", nEvents)
 	}
+	l.Events = presize[Event](nEvents, len(d.buf)/minEventBytes)
 	var prevTime vtime.Time
 	var prevSeq int64
 	for i := uint64(0); i < nEvents && d.err == nil; i++ {
@@ -694,6 +821,25 @@ func DecodeBinary(data []byte) (*Log, error) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %w", d.err)
 	}
 	return l, nil
+}
+
+// The fewest bytes a record of each table can encode in: one per varint
+// field, and one per string (a back-reference to the string table).
+const (
+	minThreadBytes = 6
+	minObjectBytes = 4
+	minEventBytes  = 13
+)
+
+// presize returns the slice a binary table of declared records decodes
+// into. The declaration is untrusted, so the capacity is capped at what
+// the remaining input could hold; a table that declares no records stays
+// nil, as appending would leave it.
+func presize[T any](declared uint64, fit int) []T {
+	if declared == 0 {
+		return nil
+	}
+	return make([]T, 0, min(declared, uint64(fit)))
 }
 
 type binEncoder struct {
@@ -757,12 +903,13 @@ func (d *binDecoder) str() string {
 		return ""
 	}
 	if id > 0 {
-		idx := int(id - 1)
-		if idx >= len(d.strs) {
-			d.err = fmt.Errorf("string index %d out of range", idx)
+		// Compare unconverted: a forged index above MaxInt would turn
+		// negative as an int.
+		if id-1 >= uint64(len(d.strs)) {
+			d.err = fmt.Errorf("string index %d out of range", id-1)
 			return ""
 		}
-		return d.strs[idx]
+		return d.strs[id-1]
 	}
 	n := d.uv()
 	if d.err != nil {

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vppb/internal/source"
 	"vppb/internal/vtime"
@@ -78,7 +81,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +111,8 @@ func TestReadTextRejectsGarbage(t *testing.T) {
 		"# vppb-log v1\ncpus\n",
 	}
 	for _, c := range cases {
-		if _, err := ReadText(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadText accepted %q", c)
+		if _, err := Decode([]byte(c)); err == nil {
+			t.Errorf("Decode accepted %q", c)
 		}
 	}
 }
@@ -129,6 +132,38 @@ func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 		if _, err := DecodeBinary(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// hugeEventCount builds a binary log of exactly size bytes that declares
+// size events, passing the count-versus-length check, and then holds none:
+// the rest is 0xff bytes, on which the first event's varint overflows.
+func hugeEventCount(size int) []byte {
+	empty := AppendBinary(nil, &Log{Header: Header{Program: "p", CPUs: 1, LWPs: 1}})
+	data := binary.AppendUvarint(empty[:len(empty)-1], uint64(size)) // replace the 0-event count
+	for len(data) < size {
+		data = append(data, 0xff)
+	}
+	return data
+}
+
+// TestDecodeBinaryPresizeBounded: a declared count presizes the event
+// array only as far as the remaining bytes could hold, so a body cannot
+// buy an allocation out of proportion to its size.
+func TestDecodeBinaryPresizeBounded(t *testing.T) {
+	data := hugeEventCount(1 << 20)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := DecodeBinary(data)
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "truncated varint") {
+		t.Fatalf("DecodeBinary = %v, want the first event to fail", err)
+	}
+	// At most one Event per minEventBytes of input, plus the input's size
+	// again for everything else.
+	limit := uint64(len(data)) * (uint64(unsafe.Sizeof(Event{}))/minEventBytes + 1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes, want <= %d", len(data), got, limit)
 	}
 }
 
@@ -176,7 +211,7 @@ func TestQuotedNamesSurviveTextFormat(t *testing.T) {
 	if err := WriteText(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +280,7 @@ func TestRoundTripRandomLogs(t *testing.T) {
 		if err := WriteText(&buf, l); err != nil {
 			t.Fatal(err)
 		}
-		gotText, err := ReadText(&buf)
+		gotText, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("iteration %d text: %v", i, err)
 		}

@@ -123,12 +123,20 @@ func (c Call) String() string {
 
 // ParseCall maps a call name back to its Call value.
 func ParseCall(s string) (Call, error) {
-	for c, name := range callNames {
-		if name == s && name != "" {
-			return Call(c), nil
-		}
+	if c, ok := callByName([]byte(s)); ok {
+		return c, nil
 	}
 	return CallNone, fmt.Errorf("trace: unknown call %q", s)
+}
+
+// callByName looks a call name up straight from the bytes of a field.
+func callByName(b []byte) (Call, bool) {
+	for c, name := range callNames {
+		if string(b) == name && name != "" {
+			return Call(c), true
+		}
+	}
+	return CallNone, false
 }
 
 // Blocking reports whether the call can suspend the calling thread.

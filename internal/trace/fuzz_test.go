@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,19 +38,60 @@ func FuzzReadText(f *testing.F) {
 	f.Add([]byte("# vppb-log v1\nthread 1 name=\\s prio=-9999999999999999999\n"))
 	f.Add([]byte("# vppb-log v1\nobject 9 kind=mutex name=\\u0020\n"))
 	f.Add([]byte("# vppb-log v1\ncpus 99999999999999999999\n"))
+	// Inputs where a byte-level reader could part ways with the line and
+	// strings.Fields one: Unicode and invalid-UTF-8 spacing, CRLF, signs
+	// and number spellings strconv rejects, and a final unterminated line.
+	f.Add([]byte("\r\n \u00a0# vppb-log v1\u2028\r\nprogram\u0085x y\nthread +7 name=a\u00a0b prio=-0\n"))
+	f.Add([]byte("# vppb-log v1\nthread 2147483648\nthread -2147483648 boundcpu=0x1\n"))
+	f.Add([]byte("# vppb-log v1\nevent 1_0 0 T1 before io\nevent 0 0 T1 before io loc=a:b:1\n"))
+	f.Add([]byte("# vppb-log v1\nevent 0 0 T1 after io loc=\\s\\-:+3 ok=1 timeout=-5\xff\x80 prio=3"))
+	f.Add([]byte("# vppb-log v1\n\xc2\nevent\xe2\x80\xa8 0 0 T 1 before io\n"))
+	f.Add([]byte("\xef\xbb\xbf# vppb-log v1\n"))
+	f.Add([]byte("# vppb-log v1\nevent 0 0 T1 before none\nevent 0 0 T1 before\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := ReadText(bytes.NewReader(data))
+		l, err := decodeText(data)
+		want, wantErr := readTextOracle(data)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("decoder error %v, oracle error %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
+		if !reflect.DeepEqual(l, want) {
+			t.Fatalf("decoded log differs from the oracle:\n%+v\n%+v", l, want)
+		}
 		// Accepted input must survive a re-encode round trip.
-		back, err := ReadText(bytes.NewReader(AppendText(nil, l)))
+		back, err := decodeText(AppendText(nil, l))
 		if err != nil {
 			t.Fatalf("re-decode of accepted log failed: %v", err)
 		}
 		if len(back.Events) != len(l.Events) || len(back.Threads) != len(l.Threads) {
 			t.Fatalf("round trip changed shape: %d/%d events, %d/%d threads",
 				len(l.Events), len(back.Events), len(l.Threads), len(back.Threads))
+		}
+	})
+}
+
+func FuzzDecodeBinary(f *testing.F) {
+	for _, l := range fuzzSeedLogs() {
+		data := AppendBinary(nil, l)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add(hugeEventCount(64))
+	f.Add([]byte("VPPBLOG1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		// Accepted input must re-encode to a log that decodes identically.
+		back, err := DecodeBinary(AppendBinary(nil, l))
+		if err != nil {
+			t.Fatalf("re-decode of accepted log failed: %v", err)
+		}
+		if !reflect.DeepEqual(back, l) {
+			t.Fatalf("round trip changed the log:\n%+v\n%+v", l, back)
 		}
 	})
 }

@@ -133,49 +133,68 @@ func (l *Log) ThreadIDs() []ThreadID {
 	return ids
 }
 
+// ValidationError is a structural violation of a recording, as reported
+// by Validate. Its message is the whole diagnosis; the type lets callers
+// such as the prediction daemon tell an invalid log, which Repair may
+// recover, from other failures.
+type ValidationError struct {
+	// Index is the position of the offending event, or -1 for a
+	// log-level violation.
+	Index int
+	msg   string
+}
+
+func (e *ValidationError) Error() string { return e.msg }
+
+func invalid(i int, format string, args ...any) *ValidationError {
+	return &ValidationError{Index: i, msg: fmt.Sprintf(format, args...)}
+}
+
 // Validate checks structural invariants of a recording: monotone
 // timestamps, events within the header's time range, known calls, matched
 // Before/After pairing per thread for blocking calls, and thread/object
 // references resolvable through the tables. It returns the first violation
-// found.
+// found, as a *ValidationError.
 func (l *Log) Validate() error {
-	_, err := l.validate()
-	return err
+	if err := l.validate(); err != nil {
+		return err
+	}
+	return nil
 }
 
-// validate is Validate plus the index of the offending event (-1 for
-// log-level violations), which Repair uses to name unrecoverable records.
-func (l *Log) validate() (int, error) {
+// validate is Validate with the concrete error type, which Repair uses to
+// name unrecoverable records.
+func (l *Log) validate() *ValidationError {
 	var prev vtime.Time
 	prevSeq := int64(-1)
 	open := make(map[ThreadID]Call)
 	for i, ev := range l.Events {
 		if ev.Time < prev {
-			return i, fmt.Errorf("trace: event %d: time %v before previous %v", i, ev.Time, prev)
+			return invalid(i, "trace: event %d: time %v before previous %v", i, ev.Time, prev)
 		}
 		if ev.Time == prev && ev.Seq <= prevSeq && i > 0 {
-			return i, fmt.Errorf("trace: event %d: sequence not increasing at equal times", i)
+			return invalid(i, "trace: event %d: sequence not increasing at equal times", i)
 		}
 		prev, prevSeq = ev.Time, ev.Seq
 		if ev.Time < l.Header.Start || ev.Time > l.Header.End {
-			return i, fmt.Errorf("trace: event %d: time %v outside [%v, %v]", i, ev.Time, l.Header.Start, l.Header.End)
+			return invalid(i, "trace: event %d: time %v outside [%v, %v]", i, ev.Time, l.Header.Start, l.Header.End)
 		}
 		if ev.Call == CallNone || ev.Call >= numCalls {
-			return i, fmt.Errorf("trace: event %d: invalid call %d", i, uint8(ev.Call))
+			return invalid(i, "trace: event %d: invalid call %d", i, uint8(ev.Call))
 		}
 		if ev.Thread != 0 && l.Thread(ev.Thread) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
+			return invalid(i, "trace: event %d: unknown thread %d", i, ev.Thread)
 		}
 		if ev.Object != 0 && l.Object(ev.Object) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)
+			return invalid(i, "trace: event %d: unknown object %d", i, ev.Object)
 		}
 		if ev.Mutex != 0 && l.Object(ev.Mutex) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown mutex %d", i, ev.Mutex)
+			return invalid(i, "trace: event %d: unknown mutex %d", i, ev.Mutex)
 		}
 		switch ev.Class {
 		case Before:
 			if c, ok := open[ev.Thread]; ok {
-				return i, fmt.Errorf("trace: event %d: thread %d issued %v while %v still open", i, ev.Thread, ev.Call, c)
+				return invalid(i, "trace: event %d: thread %d issued %v while %v still open", i, ev.Thread, ev.Call, c)
 			}
 			if pairsWithAfter(ev.Call) {
 				open[ev.Thread] = ev.Call
@@ -183,24 +202,29 @@ func (l *Log) validate() (int, error) {
 		case After:
 			c, ok := open[ev.Thread]
 			if !ok {
-				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v without BEFORE", i, ev.Thread, ev.Call)
+				return invalid(i, "trace: event %d: thread %d AFTER %v without BEFORE", i, ev.Thread, ev.Call)
 			}
 			if c != ev.Call {
-				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v does not match open %v", i, ev.Thread, ev.Call, c)
+				return invalid(i, "trace: event %d: thread %d AFTER %v does not match open %v", i, ev.Thread, ev.Call, c)
 			}
 			delete(open, ev.Thread)
 		default:
-			return i, fmt.Errorf("trace: event %d: invalid class %d", i, ev.Class)
+			return invalid(i, "trace: event %d: invalid class %d", i, ev.Class)
 		}
 	}
+	// thr_exit never completes for the exiting thread; everything else
+	// must have closed. The lowest such thread is named, so the verdict
+	// does not depend on map order.
+	unclosed, found := ThreadID(0), false
 	for tid, c := range open {
-		// thr_exit never completes for the exiting thread; everything else
-		// must have closed.
-		if c != CallThrExit {
-			return -1, fmt.Errorf("trace: thread %d: %v never completed", tid, c)
+		if c != CallThrExit && (!found || tid < unclosed) {
+			unclosed, found = tid, true
 		}
 	}
-	return -1, nil
+	if found {
+		return invalid(-1, "trace: thread %d: %v never completed", unclosed, open[unclosed])
+	}
+	return nil
 }
 
 // pairsWithAfter reports whether a Before event of call c is followed by a

@@ -321,10 +321,10 @@ func Repair(l *Log, strategies ...RepairStrategy) (*Log, *RepairReport, error) {
 		c.SortEvents()
 	}
 
-	if idx, err := c.validate(); err != nil {
-		ue := &UnrecoverableError{Index: idx, Err: err}
-		if idx >= 0 && idx < len(c.Events) {
-			ev := c.Events[idx]
+	if err := c.validate(); err != nil {
+		ue := &UnrecoverableError{Index: err.Index, Err: err}
+		if err.Index >= 0 && err.Index < len(c.Events) {
+			ev := c.Events[err.Index]
 			ue.Event = &ev
 		}
 		return nil, rep, ue

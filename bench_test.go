@@ -1,6 +1,7 @@
 package vppb
 
 import (
+	"runtime"
 	"testing"
 
 	"vppb/internal/experiments"
@@ -75,6 +76,35 @@ func BenchmarkFig5_Render(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRenderSVG_Prodcons measures drawing both graphs of the naive
+// producer/consumer program predicted on four CPUs, the view the daemon's
+// /v1/view.svg spends most on, per recorded event.
+func BenchmarkRenderSVG_Prodcons(b *testing.B) {
+	log, err := RecordWorkload("prodcons", WorkloadParams{Scale: benchOpts.Scale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Simulate(log, Machine{CPUs: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := NewView(res.Timeline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = RenderSVG(view, SVGOptions{Title: "prodcons on 4 simulated CPUs"})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N) * float64(len(log.Events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }
 
 // BenchmarkCase5_Naive predicts the naive producer/consumer program of

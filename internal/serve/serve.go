@@ -16,7 +16,9 @@
 //	                      ?exhaustive=true for the naive baseline)
 //	GET  /v1/bounds       critical-path speed-up bound  (?trace= or POST body)
 //	GET  /v1/lockorder    lock-order cycles / potential deadlocks
-//	GET  /v1/view.svg     predicted-execution rendering (?cpus=N ?width=)
+//	GET  /v1/view.svg     predicted-execution rendering (?cpus=N ?width=);
+//	                      ?cpus is at most MaxCPUs, ?width at least
+//	                      viz.MinSVGWidth
 //	GET  /v1/view.html    self-contained HTML report
 //	GET  /metrics         Prometheus text format
 //	GET  /healthz         readiness probe
@@ -562,16 +564,31 @@ func parsePolicy(r *http.Request) (string, *httpError) {
 	return policy, nil
 }
 
+// Every simulated CPU costs the simulator memory and time, so a query
+// may ask for at most MaxCPUs CPUs per machine and MaxCPUCounts machine
+// sizes per request.
+const (
+	MaxCPUs      = 1024
+	MaxCPUCounts = 64
+)
+
 func parseCPUList(r *http.Request) ([]int, *httpError) {
 	spec := r.URL.Query().Get("cpus")
 	if spec == "" {
 		spec = "1,2,4,8"
 	}
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
+	parts := strings.Split(spec, ",")
+	if len(parts) > MaxCPUCounts {
+		return nil, errf(http.StatusBadRequest, "cpus lists %d CPU counts, the limit is %d", len(parts), MaxCPUCounts)
+	}
+	out := make([]int, 0, len(parts))
+	for _, part := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
 			return nil, errf(http.StatusBadRequest, "cpus wants positive CPU counts, got %q", part)
+		}
+		if n > MaxCPUs {
+			return nil, errf(http.StatusBadRequest, "cpus %d exceeds the limit of %d CPUs", n, MaxCPUs)
 		}
 		out = append(out, n)
 	}
@@ -803,10 +820,14 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 		return writeError(w, herr)
 	}
 	cpus, herr := parseInt(r, "cpus", 2, 1)
+	if herr == nil && cpus > MaxCPUs {
+		herr = errf(http.StatusBadRequest, "cpus %d exceeds the limit of %d CPUs", cpus, MaxCPUs)
+	}
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	width, herr := parseInt(r, "width", 0, 1)
+	// Below MinSVGWidth the margins leave no plot area.
+	width, herr := parseInt(r, "width", 0, viz.MinSVGWidth)
 	if herr != nil {
 		return writeError(w, herr)
 	}

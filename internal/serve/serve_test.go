@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -348,6 +349,42 @@ func TestViewEndpoints(t *testing.T) {
 	}
 }
 
+// TestQueryLimits checks the bounds on simulated CPUs and SVG width:
+// the limits themselves are served, anything past them is a 400 that
+// names the limit, before any simulation runs.
+func TestQueryLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	raw := traceBytes(t, "example", 0.2)
+	resp, body := post(t, ts.URL+"/v1/predict?cpus="+strings.Repeat("1,", MaxCPUCounts-1)+"1", raw)
+	if resp.StatusCode != 200 {
+		t.Fatalf("%d CPU counts: %d %s", MaxCPUCounts, resp.StatusCode, body)
+	}
+	digest := resp.Header.Get("X-Vppb-Trace")
+	for _, tc := range []struct {
+		query      string
+		wantStatus int
+		wantInBody string
+	}{
+		{"&cpus=1024", 200, "<svg"},
+		{"&cpus=1025", 400, "limit of 1024 CPUs"},
+		{"&width=101", 200, `width="101"`},
+		{"&width=100", 400, "width wants an integer \\u003e= 101"},
+		{"&width=50", 400, "width wants an integer \\u003e= 101"},
+	} {
+		resp, body := get(t, ts.URL+"/v1/view.svg?trace="+digest+tc.query)
+		if resp.StatusCode != tc.wantStatus || !strings.Contains(string(body), tc.wantInBody) {
+			t.Errorf("view.svg%s: %d %.200s, want %d mentioning %q", tc.query, resp.StatusCode, body, tc.wantStatus, tc.wantInBody)
+		}
+		if m := regexp.MustCompile(`(width|height)="-`).Find(body); m != nil {
+			t.Errorf("view.svg%s: negative size attribute %s", tc.query, m)
+		}
+	}
+	resp, body = post(t, ts.URL+"/v1/optimize?cpus=1,1025&trace="+digest, nil)
+	if resp.StatusCode != 400 || !strings.Contains(string(body), "limit of 1024 CPUs") {
+		t.Errorf("optimize cpus=1,1025: %d %s", resp.StatusCode, body)
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	raw := traceBytes(t, "example", 0.2)
@@ -358,6 +395,9 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"bad cpus", "?cpus=0", "cpus"},
 		{"garbage cpus", "?cpus=two", "cpus"},
+		{"too many cpus", "?cpus=2,1025", "limit of 1024 CPUs"},
+		{"cpus far past the limit", "?cpus=10000000", "limit of 1024 CPUs"},
+		{"too long cpus list", "?cpus=" + strings.Repeat("1,", MaxCPUCounts) + "1", "the limit is 64"},
 		{"bad strict", "?strict=perhaps", "strict"},
 	} {
 		resp, body := post(t, ts.URL+"/v1/predict"+tc.query, raw)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 )
 
@@ -42,21 +43,30 @@ func Capture(skip int) Loc {
 func (l Loc) IsZero() bool { return l.File == "" && l.Line == 0 }
 
 // String formats the location as "file:line".
-func (l Loc) String() string {
+func (l Loc) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the String form of the location to b.
+func (l Loc) AppendTo(b []byte) []byte {
 	if l.IsZero() {
-		return "<unknown>"
+		return append(b, "<unknown>"...)
 	}
-	return fmt.Sprintf("%s:%d", Base(l.File), l.Line)
+	b = append(b, Base(l.File)...)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(l.Line), 10)
 }
 
 // Base returns the last two path components of file, enough to disambiguate
 // without dumping absolute build paths into logs.
 func Base(file string) string {
-	parts := strings.Split(file, "/")
-	if len(parts) <= 2 {
+	i := strings.LastIndexByte(file, '/')
+	if i < 0 {
 		return file
 	}
-	return strings.Join(parts[len(parts)-2:], "/")
+	j := strings.LastIndexByte(file[:i], '/')
+	if j < 0 {
+		return file
+	}
+	return file[j+1:]
 }
 
 // Excerpt reads the file at l and returns context lines around l.Line with

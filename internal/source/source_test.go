@@ -41,6 +41,34 @@ func TestString(t *testing.T) {
 	}
 }
 
+func TestBaseMatchesSplit(t *testing.T) {
+	// The split-and-join definition Base had before it stopped allocating.
+	split := func(file string) string {
+		parts := strings.Split(file, "/")
+		if len(parts) <= 2 {
+			return file
+		}
+		return strings.Join(parts[len(parts)-2:], "/")
+	}
+	for _, f := range []string{"", "d.go", "/", "//", "///", "/d.go", "x/d.go", "a/b/", "a//b", "/a/b/c/d.go", "c/d.go/"} {
+		if got, want := Base(f), split(f); got != want {
+			t.Errorf("Base(%q) = %q, want %q", f, got, want)
+		}
+	}
+}
+
+func TestAppendToMatchesString(t *testing.T) {
+	for _, l := range []Loc{{}, {File: "/a/b/c/d.go", Line: 12}, {File: "d.go", Line: -3}, {Line: 7}} {
+		got := string(l.AppendTo([]byte("x ")))
+		if want := "x " + l.String(); got != want {
+			t.Errorf("AppendTo = %q, want %q", got, want)
+		}
+	}
+	if got := (Loc{File: "/a/b/c/d.go", Line: 12}).String(); got != "c/d.go:12" {
+		t.Fatalf("String = %q", got)
+	}
+}
+
 func TestBaseShortPath(t *testing.T) {
 	if got := Base("d.go"); got != "d.go" {
 		t.Fatalf("Base short = %q", got)

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vppb/internal/vtime"
@@ -136,13 +138,21 @@ type ParallelismPoint struct {
 // Parallelism builds the step function behind the paper's parallelism
 // graph (green = running, red on top = runnable but not running).
 func (tl *Timeline) Parallelism() []ParallelismPoint {
+	// The deltas at one instant are summed before a point is emitted, so
+	// their order within the instant does not matter.
 	type delta struct {
 		at              vtime.Time
-		dRun, dRunnable int
-		seq             int
+		dRun, dRunnable int32
 	}
-	var deltas []delta
-	seq := 0
+	n := 0
+	for _, th := range tl.Threads {
+		for _, s := range th.Spans {
+			if s.Start != s.End && (s.State == StateRunning || s.State == StateRunnable) {
+				n += 2
+			}
+		}
+	}
+	deltas := make([]delta, 0, n)
 	for _, th := range tl.Threads {
 		for _, s := range th.Spans {
 			if s.Start == s.End {
@@ -150,35 +160,22 @@ func (tl *Timeline) Parallelism() []ParallelismPoint {
 			}
 			switch s.State {
 			case StateRunning:
-				deltas = append(deltas, delta{s.Start, 1, 0, seq}, delta{s.End, -1, 0, seq + 1})
+				deltas = append(deltas, delta{s.Start, 1, 0}, delta{s.End, -1, 0})
 			case StateRunnable:
-				deltas = append(deltas, delta{s.Start, 0, 1, seq}, delta{s.End, 0, -1, seq + 1})
+				deltas = append(deltas, delta{s.Start, 0, 1}, delta{s.End, 0, -1})
 			}
-			seq += 2
 		}
 	}
-	sort.Slice(deltas, func(i, j int) bool {
-		if deltas[i].at != deltas[j].at {
-			return deltas[i].at < deltas[j].at
-		}
-		return deltas[i].seq < deltas[j].seq
-	})
+	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.at, b.at) })
 	var points []ParallelismPoint
 	run, runnable := 0, 0
-	i := 0
-	for i < len(deltas) {
+	for i := 0; i < len(deltas); {
 		at := deltas[i].at
-		for i < len(deltas) && deltas[i].at == at {
-			run += deltas[i].dRun
-			runnable += deltas[i].dRunnable
-			i++
+		for ; i < len(deltas) && deltas[i].at == at; i++ {
+			run += int(deltas[i].dRun)
+			runnable += int(deltas[i].dRunnable)
 		}
-		if n := len(points); n > 0 && points[n-1].Time == at {
-			points[n-1].Running = run
-			points[n-1].Runnable = runnable
-		} else {
-			points = append(points, ParallelismPoint{at, run, runnable})
-		}
+		points = append(points, ParallelismPoint{at, run, runnable})
 	}
 	return points
 }

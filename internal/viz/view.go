@@ -158,37 +158,27 @@ func (v *View) activeInWindow(th *trace.ThreadTimeline) bool {
 // view's window, always starting with a point at the window start.
 func (v *View) ParallelismInWindow() []trace.ParallelismPoint {
 	pts := v.tl.Parallelism()
-	var out []trace.ParallelismPoint
-	cur := trace.ParallelismPoint{Time: v.start}
-	for _, p := range pts {
-		if p.Time <= v.start {
-			cur.Running, cur.Runnable = p.Running, p.Runnable
-			continue
-		}
-		if p.Time >= v.end {
-			break
-		}
-		if len(out) == 0 {
-			out = append(out, cur)
-		}
-		out = append(out, p)
+	first := sort.Search(len(pts), func(i int) bool { return pts[i].Time > v.start })
+	last := sort.Search(len(pts), func(i int) bool { return pts[i].Time >= v.end })
+	if first == 0 {
+		return append([]trace.ParallelismPoint{{Time: v.start}}, pts[:last]...)
 	}
-	if len(out) == 0 {
-		out = append(out, cur)
-	}
-	return out
+	// The last point at or before the window start becomes its first
+	// point; pts is this call's own copy, so it can be overwritten.
+	pts[first-1].Time = v.start
+	return pts[first-1 : last]
 }
 
 // MaxParallelism returns the peak running+runnable count in the window,
 // which sets the parallelism graph's height.
-func (v *View) MaxParallelism() int {
-	max := 1
-	for _, p := range v.ParallelismInWindow() {
-		if t := p.Running + p.Runnable; t > max {
-			max = t
-		}
+func (v *View) MaxParallelism() int { return maxParallelism(v.ParallelismInWindow()) }
+
+func maxParallelism(pts []trace.ParallelismPoint) int {
+	peak := 1
+	for _, p := range pts {
+		peak = max(peak, p.Running+p.Runnable)
 	}
-	return max
+	return peak
 }
 
 // EventsInWindow returns the placed events of visible threads inside the

@@ -10,8 +10,8 @@
 package vtime
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is an instant in virtual microseconds since the start of the run.
@@ -50,19 +50,33 @@ func (t Time) String() string { return formatSeconds(int64(t)) }
 func (d Duration) String() string { return formatSeconds(int64(d)) }
 
 func formatSeconds(us int64) string {
-	neg := ""
+	var buf [24]byte
+	return string(AppendSeconds(buf[:0], us))
+}
+
+// AppendSeconds appends us microseconds formatted as seconds, the form
+// Time.String and Duration.String return: the fraction keeps its
+// microseconds with trailing zeros trimmed, but never fewer than two
+// decimals ("0.53", "1.234567", "-0.25").
+func AppendSeconds(b []byte, us int64) []byte {
+	u := uint64(us)
 	if us < 0 {
-		neg = "-"
-		us = -us
+		b = append(b, '-')
+		u = -u
 	}
-	sec := us / int64(Second)
-	rem := us % int64(Second)
-	// Trim trailing zeros but keep at least two decimals for readability.
-	s := fmt.Sprintf("%06d", rem)
-	for len(s) > 2 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+	b = strconv.AppendUint(b, u/uint64(Second), 10)
+	rem := u % uint64(Second)
+	var frac [7]byte
+	frac[0] = '.'
+	for i := 6; i > 0; i-- {
+		frac[i] = byte('0' + rem%10)
+		rem /= 10
 	}
-	return fmt.Sprintf("%s%d.%s", neg, sec, s)
+	n := len(frac)
+	for n > 3 && frac[n-1] == '0' {
+		n--
+	}
+	return append(b, frac[:n]...)
 }
 
 // DurationOf parses floating-point seconds into a Duration, rounding to the

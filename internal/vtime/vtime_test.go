@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -37,6 +39,40 @@ func TestTimeString(t *testing.T) {
 		if got := Time(c.us).String(); got != c.want {
 			t.Errorf("Time(%d).String() = %q, want %q", c.us, got, c.want)
 		}
+	}
+}
+
+// fmtSeconds is the fmt-based formatter AppendSeconds replaced.
+func fmtSeconds(us int64) string {
+	neg := ""
+	if us < 0 {
+		neg = "-"
+		us = -us
+	}
+	s := fmt.Sprintf("%06d", us%int64(Second))
+	for len(s) > 2 && s[len(s)-1] == '0' {
+		s = s[:len(s)-1]
+	}
+	return fmt.Sprintf("%s%d.%s", neg, us/int64(Second), s)
+}
+
+func TestAppendSecondsMatchesFmt(t *testing.T) {
+	same := func(us int64) bool {
+		if us == math.MinInt64 {
+			return true // the old formatter printed "--9223372036854.-775808"
+		}
+		return string(AppendSeconds([]byte("x"), us)) == "x"+fmtSeconds(us) && Time(us).String() == fmtSeconds(us)
+	}
+	for _, us := range []int64{0, 1, -1, 9, 10, 100, 100_000, 999_999, 1_000_000, -1_000_001, 1_230_000, math.MaxInt64, math.MinInt64 + 1} {
+		if !same(us) {
+			t.Errorf("AppendSeconds(%d) = %q, want %q", us, AppendSeconds(nil, us), fmtSeconds(us))
+		}
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(AppendSeconds(nil, math.MinInt64)); got != "-9223372036854.775808" {
+		t.Fatalf("AppendSeconds(MinInt64) = %q", got)
 	}
 }
 

@@ -285,9 +285,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // runOptimize answers "what should I deploy on?": it sweeps every
-// (policy × CPU count) configuration, sharing simulation prefixes across
-// the grid via checkpoints and pruning configurations whose
-// happens-before lower bound already loses to the incumbent, and prints
+// (policy × CPU count) configuration, pruning configurations whose lower
+// bound Work/c already loses to the incumbent, and prints
 // the ranked grid plus the winner. sweepSpec overrides the CPU grid.
 func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfile, sweepSpec string) error {
 	var sizes []int
@@ -314,8 +313,6 @@ func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfil
 		note := ""
 		if c.Pruned {
 			note = "pruned"
-		} else if c.ResumedFromEvents > 0 {
-			note = fmt.Sprintf("resumed@%d", c.ResumedFromEvents)
 		}
 		dur := "-"
 		if !c.Pruned {

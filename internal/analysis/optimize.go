@@ -14,27 +14,25 @@ import (
 
 // Optimize answers "what should I deploy on?" in one call: it ranks every
 // (policy × CPU count) configuration of a grid by predicted execution
-// time, sharing work across the grid two ways the naive exhaustive sweep
-// cannot:
+// time, and skips the configurations that provably cannot win.
 //
-//   - checkpoint sharing: one scout run per policy captures portable
-//     snapshots of the machine-independent prefix (core.Checkpoint), and
-//     every other CPU count of that policy resumes from the latest
-//     portable snapshot instead of replaying the prefix;
-//   - bound pruning: the happens-before analysis gives a true lower bound
-//     on any c-CPU execution — lb(c) = max(CritPath, Work/c). CritPath is
-//     the recording's mandatory serial chain, which replay preserves, and
-//     Work/c is the pigeonhole limit of c processors; the simulator only
-//     ever adds overhead (communication delay, queueing, slicing) on top.
-//     A candidate whose lower bound already exceeds the incumbent's
-//     simulated duration strictly cannot win and is never simulated.
+// Each candidate is either pruned or simulated with core.SimulateProfile.
+// The pruning bound is lb(c) = Work/c, the pigeonhole limit of c
+// processors: the simulator executes every recorded CPU burst in full and
+// only ever adds overhead (communication delay, queueing, slicing) on top.
+// A candidate whose lower bound already exceeds the incumbent's simulated
+// duration strictly cannot win and is never simulated. The happens-before
+// critical path is not a bound on replay: the recording fixes one pairing
+// of posts and waits, lock hand-offs and trylock outcomes, and a replay
+// on another machine may re-pair them, so a chain built from the
+// recording can be longer than the replay.
 //
 // Pruning cannot change the winner: candidates are visited in a fixed
 // order (policies as given, CPU counts descending) and the winner is the
 // first candidate with the minimum duration; a pruned candidate's true
 // duration exceeds the incumbent's strictly, so it neither beats nor ties
-// any earlier candidate. The optimize-smoke CI gate verifies winner
-// equality against the exhaustive sweep differentially.
+// any earlier candidate. Tests check winner equality against the
+// exhaustive sweep over generated programs.
 
 // DefaultOptimizeCPUs is the CPU grid when OptimizeOptions.CPUCounts is
 // empty — the paper's Table 1 processor counts.
@@ -48,12 +46,9 @@ type OptimizeOptions struct {
 	// Policies is the scheduling-policy grid; empty means every registered
 	// policy (sched.Names()).
 	Policies []string
-	// CheckpointEvery is the scout's capture cadence in simulated events;
-	// zero selects core.DefaultCheckpointEvery.
-	CheckpointEvery int64
-	// Exhaustive disables checkpoint sharing and bound pruning: every
-	// candidate is a fresh full simulation. This is the baseline the
-	// optimize experiment measures the default mode against.
+	// Exhaustive disables bound pruning: every candidate is simulated.
+	// This is the baseline the optimize experiment measures the default
+	// mode against.
 	Exhaustive bool
 	// MaxSimEvents bounds each candidate simulation (0 = unlimited); a
 	// candidate exceeding it aborts the sweep with the budget error.
@@ -66,15 +61,12 @@ type Candidate struct {
 	CPUs   int    `json:"cpus"`
 	// Duration is the predicted execution time; zero when Pruned.
 	Duration vtime.Duration `json:"duration"`
-	// LowerBound is lb(c) = max(CritPath, Work/c), the proof a pruned
-	// candidate cannot win (zero when no analysis was supplied).
+	// LowerBound is lb(c) = Work/c, the proof a pruned candidate cannot
+	// win (zero when no analysis was supplied).
 	LowerBound vtime.Duration `json:"lower_bound"`
 	Pruned     bool           `json:"pruned"`
-	// ResumedFromEvents is the number of prefix events skipped by resuming
-	// a checkpoint; zero for a fresh simulation.
-	ResumedFromEvents int64 `json:"resumed_from_events"`
-	// Events is the simulation's total probe-event count (prefix
-	// included); zero when Pruned.
+	// Events is the simulation's total probe-event count; zero when
+	// Pruned.
 	Events int64 `json:"events"`
 }
 
@@ -90,32 +82,23 @@ type OptimizeResult struct {
 	// versus proven hopeless by their lower bound.
 	Simulated int `json:"simulated"`
 	Pruned    int `json:"pruned"`
-	// SharedEvents is the total number of prefix events checkpoint resumes
-	// skipped across the sweep.
-	SharedEvents int64 `json:"shared_events"`
-	// Work and CritPath echo the pruning inputs (zero when no analysis was
-	// supplied).
-	Work     vtime.Duration `json:"work"`
-	CritPath vtime.Duration `json:"crit_path"`
+	// Work echoes the pruning input (zero when no analysis was supplied).
+	Work vtime.Duration `json:"work"`
 }
 
-// lowerBoundAt is lb(c): no c-CPU machine finishes the program faster.
+// lowerBoundAt is lb(c) = Work/c: no c-CPU machine finishes the program
+// faster.
 func lowerBoundAt(a *hb.Analysis, cpus int) vtime.Duration {
-	if a == nil || cpus <= 0 {
+	if a == nil {
 		return 0
 	}
-	lb := a.CritPath
-	if byWork := vtime.Duration(int64(a.Work) / int64(cpus)); byWork > lb {
-		lb = byWork
-	}
-	return lb
+	return vtime.Duration(int64(a.Work) / int64(cpus))
 }
 
 // Optimize sweeps the (policy × CPU) grid over one behaviour profile.
-// hbA supplies the pruning bounds (typically hb.Analyze of the profile's
-// log); nil disables pruning but keeps checkpoint sharing. The context is
-// checked between candidates: cancellation aborts the sweep with ctx's
-// error.
+// hbA supplies the pruning bound (typically hb.Analyze of the profile's
+// log); nil disables pruning. The context is checked between candidates:
+// cancellation aborts the sweep with ctx's error.
 func Optimize(ctx context.Context, prof *trace.Profile, hbA *hb.Analysis, opts OptimizeOptions) (*OptimizeResult, error) {
 	cpus := normalizeCPUs(opts.CPUCounts)
 	if len(cpus) == 0 {
@@ -128,68 +111,34 @@ func Optimize(ctx context.Context, prof *trace.Profile, hbA *hb.Analysis, opts O
 	res := &OptimizeResult{Candidates: make([]Candidate, 0, len(cpus)*len(policies))}
 	if hbA != nil {
 		res.Work = hbA.Work
-		res.CritPath = hbA.CritPath
 	}
 
-	var incumbent *Candidate // best simulated so far, in sweep order
+	best := -1 // index of the best simulated candidate so far, in sweep order
 	for _, policy := range policies {
-		// One scout per policy: the largest machine runs first (it is the
-		// least likely to be pruned and the most expensive to share), and
-		// captures the last machine-independent snapshot for its siblings.
-		var last *core.Checkpoint
-		for i, c := range cpus {
+		for _, c := range cpus {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			cand := Candidate{Policy: policy, CPUs: c, LowerBound: lowerBoundAt(hbA, c)}
-			m := core.Machine{CPUs: c, Policy: policy, DiscardTimeline: true, MaxSimEvents: opts.MaxSimEvents}
-			switch {
-			case !opts.Exhaustive && incumbent != nil && cand.LowerBound > incumbent.Duration:
+			if !opts.Exhaustive && best >= 0 && cand.LowerBound > res.Candidates[best].Duration {
 				cand.Pruned = true
 				res.Pruned++
-			case !opts.Exhaustive && i == 0:
-				var r *core.Result
-				r, err := core.SimulateProfileCheckpointed(prof, m, core.CheckpointOptions{
-					Every:        opts.CheckpointEvery,
-					OnlyPortable: true,
-					Sink:         func(cp *core.Checkpoint) { last = cp },
-				})
+			} else {
+				r, err := core.SimulateProfile(prof, core.Machine{CPUs: c, Policy: policy, DiscardTimeline: true, MaxSimEvents: opts.MaxSimEvents})
 				if err != nil {
 					return nil, err
 				}
 				cand.Duration = r.Duration
 				cand.Events = r.Events
 				res.Simulated++
-			default:
-				var r *core.Result
-				var err error
-				if !opts.Exhaustive && last != nil && last.PortableTo(m) == nil {
-					r, err = core.ResumeFrom(last, m)
-					cand.ResumedFromEvents = last.EventSeq()
-					res.SharedEvents += last.EventSeq()
-				} else {
-					r, err = core.SimulateProfile(prof, m)
+				if best < 0 || cand.Duration < res.Candidates[best].Duration {
+					best = len(res.Candidates)
 				}
-				if err != nil {
-					return nil, err
-				}
-				cand.Duration = r.Duration
-				cand.Events = r.Events
-				res.Simulated++
 			}
 			res.Candidates = append(res.Candidates, cand)
-			if !cand.Pruned {
-				n := &res.Candidates[len(res.Candidates)-1]
-				if incumbent == nil || n.Duration < incumbent.Duration {
-					incumbent = n
-				}
-			}
 		}
 	}
-	if incumbent == nil {
-		return nil, fmt.Errorf("analysis: optimize simulated no candidates")
-	}
-	res.Winner = *incumbent
+	res.Winner = res.Candidates[best]
 	return res, nil
 }
 

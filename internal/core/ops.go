@@ -168,12 +168,6 @@ func (s *sim) opYield(cpu *scpu, t *sthread) bool {
 }
 
 func (s *sim) opSetConcurrency(n int) {
-	// Track the largest request before any machine-dependent early return:
-	// whether the pool grows depends on m.LWPs, so cross-machine checkpoint
-	// portability must know the peak ask, not the peak growth.
-	if n > s.maxConc {
-		s.maxConc = n
-	}
 	if s.m.LWPs > 0 {
 		// The user-supplied LWP count overrides thr_setconcurrency
 		// (paper section 3.2).

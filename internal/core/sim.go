@@ -409,24 +409,6 @@ type sim struct {
 	eventSeq int64
 	live     int
 	err      error
-
-	// Livelock tracking (reset whenever virtual time advances). These are
-	// sim fields rather than loop locals so a restored simulation resumes
-	// the window exactly where the checkpointed one left it.
-	stuck      int
-	stuckKinds [len(sevKindNames)]int64
-
-	// Checkpointing (see checkpoint.go). cp is the capture configuration
-	// (zero for ordinary runs: the loop pays one nil check per event),
-	// cpNext the event count that triggers the next capture. initPool is
-	// the LWP pool size newSim built; maxLive and maxConc record the peak
-	// live-thread count and the largest thr_setconcurrency request, the
-	// facts the cross-machine portability check needs.
-	cp       CheckpointOptions
-	cpNext   int64
-	initPool int
-	maxLive  int
-	maxConc  int
 }
 
 // newSim assembles one simulation run over a shared profile. The profile
@@ -473,7 +455,6 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	}
 	s.slices.buf = make([]sliceEnt, ringCap)
 	s.sc.OnSliceInvalidated = func(l *slwp) { s.disarmSlice(int32(l.ID)) }
-	s.initPool = pool
 	for i := 0; i < pool; i++ {
 		s.sc.AddIdleLWP(s.newLWP(false))
 	}
@@ -578,23 +559,10 @@ func (s *sim) run() (*Result, error) {
 	s.startThread(&s.threads[s.mainIdx])
 	s.sc.DispatchAll()
 	s.sc.PreemptPass()
-	return s.loop()
-}
-
-// loop is the event loop proper plus Result assembly. It is the shared
-// tail of run and ResumeFrom: a restored simulation re-enters here with
-// every piece of state — including the livelock window — exactly where
-// the checkpointed run left it, which is what makes resumed replay
-// byte-identical to a fresh one.
-func (s *sim) loop() (*Result, error) {
+	// Livelock tracking, reset whenever virtual time advances.
+	stuck := 0
+	var stuckKinds [len(sevKindNames)]int64
 	for s.live > 0 && s.err == nil {
-		// Checkpoints are taken here, at the top of the iteration: the
-		// state is "between events" (the previous event fully handled,
-		// dispatch and preemption settled), the one point where a resumed
-		// loop re-enters with no half-applied transition to reconstruct.
-		if s.cp.Sink != nil && s.eventSeq >= s.cpNext {
-			s.maybeCapture()
-		}
 		// Take the earlier of the heap head and the earliest armed slice
 		// timer, comparing full (time, seq) keys so delivery order is
 		// byte-for-byte what a single combined queue would produce.
@@ -621,8 +589,8 @@ func (s *sim) loop() (*Result, error) {
 		}
 		if at > s.now {
 			s.now = at
-			s.stuck = 0
-			s.stuckKinds = [len(sevKindNames)]int64{}
+			stuck = 0
+			stuckKinds = [len(sevKindNames)]int64{}
 		}
 		if s.m.MaxVirtualTime > 0 && s.now.Sub(0) > s.m.MaxVirtualTime {
 			s.fail(&BudgetError{Kind: "virtual-time", Limit: int64(s.m.MaxVirtualTime), At: s.now, Events: s.eventSeq})
@@ -632,12 +600,12 @@ func (s *sim) loop() (*Result, error) {
 			s.fail(&BudgetError{Kind: "events", Limit: s.m.MaxSimEvents, At: s.now, Events: s.eventSeq})
 			break
 		}
-		s.stuck++
-		if int(ev.kind) < len(s.stuckKinds) {
-			s.stuckKinds[ev.kind]++
+		stuck++
+		if int(ev.kind) < len(stuckKinds) {
+			stuckKinds[ev.kind]++
 		}
-		if s.m.LivelockWindow > 0 && s.stuck > s.m.LivelockWindow {
-			s.fail(s.livelockError(s.stuckKinds, s.m.LivelockWindow))
+		if s.m.LivelockWindow > 0 && stuck > s.m.LivelockWindow {
+			s.fail(s.livelockError(stuckKinds, s.m.LivelockWindow))
 			break
 		}
 		s.handle(ev)
@@ -671,9 +639,6 @@ func (s *sim) startThread(t *sthread) {
 		return
 	}
 	s.live++
-	if s.live > s.maxLive {
-		s.maxLive = s.live
-	}
 	if t.bound {
 		l := s.newLWP(true)
 		l.thread = t

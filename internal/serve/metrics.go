@@ -96,7 +96,7 @@ func (m *Metrics) Shed() *atomic.Int64 { return &m.shed }
 func (m *Metrics) Panics() *atomic.Int64 { return &m.panics }
 
 // OptimizeSimulated counts grid candidates /v1/optimize actually
-// simulated (fresh or resumed from a checkpoint).
+// simulated.
 func (m *Metrics) OptimizeSimulated() *atomic.Int64 { return &m.optimizeSimulated }
 
 // OptimizePruned counts grid candidates /v1/optimize skipped because
@@ -230,7 +230,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, store *Store, break
 	fmt.Fprintln(w, "# HELP vppb_sim_queue_depth Machine simulations queued or running in the worker pool.")
 	fmt.Fprintln(w, "# TYPE vppb_sim_queue_depth gauge")
 	fmt.Fprintf(w, "vppb_sim_queue_depth %d\n", m.simQueue.Load())
-	fmt.Fprintln(w, "# HELP vppb_optimize_simulated_total Optimize grid candidates simulated (fresh or checkpoint-resumed).")
+	fmt.Fprintln(w, "# HELP vppb_optimize_simulated_total Optimize grid candidates simulated.")
 	fmt.Fprintln(w, "# TYPE vppb_optimize_simulated_total counter")
 	fmt.Fprintf(w, "vppb_optimize_simulated_total %d\n", m.optimizeSimulated.Load())
 	fmt.Fprintln(w, "# HELP vppb_optimize_pruned_total Optimize grid candidates pruned by the happens-before lower bound.")

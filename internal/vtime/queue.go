@@ -64,33 +64,6 @@ func (q *EventQueue[T]) ReserveSeq() uint64 {
 	return s
 }
 
-// QueueState is a deep copy of an EventQueue's contents and insertion
-// counter, taken by Save and reinstalled by Restore. It is an opaque
-// snapshot: the heap layout is copied as-is, so a restored queue pops in
-// exactly the order the saved one would have.
-type QueueState[T any] struct {
-	heap []entry[T]
-	seq  uint64
-}
-
-// Len reports the number of items in the snapshot.
-func (st QueueState[T]) Len() int { return len(st.heap) }
-
-// Save returns a deep copy of the queue's current state. The queue is
-// unaffected and may keep running; the snapshot never aliases its storage.
-func (q *EventQueue[T]) Save() QueueState[T] {
-	return QueueState[T]{heap: append([]entry[T](nil), q.heap...), seq: q.seq}
-}
-
-// Restore replaces the queue's contents and insertion counter with a
-// previously saved state. The queue's reserved capacity is kept when it
-// suffices, so a restored simulation stays allocation-free exactly like a
-// fresh one.
-func (q *EventQueue[T]) Restore(st QueueState[T]) {
-	q.heap = append(q.heap[:0], st.heap...)
-	q.seq = st.seq
-}
-
 // Pop removes and returns the earliest item and its timestamp. It panics if
 // the queue is empty; check Len first.
 func (q *EventQueue[T]) Pop() (Time, T) {

@@ -288,37 +288,9 @@ func SimulateManyCtx(ctx context.Context, prof *TraceProfile, machines []Machine
 	return core.SimulateManyCtx(ctx, prof, machines)
 }
 
-// Checkpointed simulation: snapshot a replay mid-flight and resume it,
-// possibly on a different machine (see core.Checkpoint.PortableTo).
-type (
-	// SimCheckpoint is a resumable snapshot of a simulation.
-	SimCheckpoint = core.Checkpoint
-	// CheckpointOptions sets the capture cadence and portability mode.
-	CheckpointOptions = core.CheckpointOptions
-)
-
-// DefaultCheckpointEvery is the default capture cadence in simulated
-// events.
-const DefaultCheckpointEvery = core.DefaultCheckpointEvery
-
-// SimulateProfileCheckpointed is SimulateProfile with periodic snapshots
-// delivered to opts.Sink.
-func SimulateProfileCheckpointed(prof *TraceProfile, m Machine, opts CheckpointOptions) (*SimResult, error) {
-	return core.SimulateProfileCheckpointed(prof, m, opts)
-}
-
-// ResumeSimulation continues a checkpointed replay to completion on
-// machine m — byte-identical to a fresh simulation of the same machine.
-// m may differ from the checkpoint's machine when cp.PortableTo(m) allows
-// it.
-func ResumeSimulation(cp *SimCheckpoint, m Machine) (*SimResult, error) {
-	return core.ResumeFrom(cp, m)
-}
-
 // Deployment optimization: rank every (policy × CPU count) configuration
-// of a grid by predicted execution time, sharing simulation prefixes via
-// checkpoints and pruning provably hopeless configurations with the
-// happens-before lower bound.
+// of a grid by predicted execution time, pruning provably hopeless
+// configurations with the lower bound Work/c.
 type (
 	// OptimizeOptions configures an Optimize sweep.
 	OptimizeOptions = analysis.OptimizeOptions
